@@ -34,6 +34,7 @@ use aeropack_mission::{
     sweep_missions, AdaptiveConfig, MissionConfig, MissionDriver, MissionProfile, Orbit,
     RadiatingFace, Scheme, StepControl,
 };
+use aeropack_obs::report::escape;
 use aeropack_optimize::{DesignSpace, EvalContext, Optimizer, OptimizerConfig};
 use aeropack_solver::{Precond, SolverConfig, SpectralStats};
 use aeropack_sweep::{ScenarioStats, Sweep, SweepStats};
@@ -772,7 +773,6 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
     let mut jacobi_field: Vec<f64> = Vec::new();
     for (name, precond) in [
         ("jacobi", Precond::Jacobi),
-        ("ssor", Precond::Ssor),
         ("ic0", Precond::Ic0),
         ("chebyshev", Precond::Chebyshev(4)),
         ("mg", Precond::Multigrid),
@@ -1035,10 +1035,6 @@ fn bench_fv_dd(smoke: bool, hardware_threads: usize) -> FvDdReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn emit_json(
     records: &[SweepRecord],
     fv_large: &FvLargeReport,
@@ -1055,7 +1051,7 @@ fn emit_json(
     out.push_str("  \"sweeps\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(r.name)));
+        out.push_str(&format!("      \"name\": \"{}\",\n", escape(r.name)));
         out.push_str(&format!("      \"scenarios\": {},\n", r.scenarios));
         out.push_str("      \"wall_seconds\": {");
         for (j, (t, d)) in r.walls.iter().enumerate() {
@@ -1121,7 +1117,7 @@ fn emit_json(
              \"factor_seconds\": {:.6}, \"fill_nnz\": {}, \"forward_levels\": {}, \
              \"reordered\": {}, \"max_abs_diff_vs_jacobi\": {:.3e}, \
              \"requested_precond\": \"{}\", \"effective_precond\": \"{}\"",
-            json_escape(r.precond),
+            escape(r.precond),
             r.iterations,
             r.wall.as_secs_f64(),
             r.cold_setup_seconds,
@@ -1131,8 +1127,8 @@ fn emit_json(
             r.forward_levels,
             r.reordered,
             r.max_abs_diff_vs_jacobi,
-            json_escape(&r.requested_precond),
-            json_escape(&r.effective_precond),
+            escape(&r.requested_precond),
+            escape(&r.effective_precond),
         );
         if let Some(s) = &r.spectral {
             row.push_str(&format!(
@@ -1140,7 +1136,7 @@ fn emit_json(
                  \"eig_low\": {:.6e}, \"eig_high\": {:.6e}, \"coarse_unknowns\": {}, \
                  \"hierarchy_nnz\": {}",
                 s.levels,
-                json_escape(s.smoother),
+                escape(s.smoother),
                 s.degree,
                 s.eig_low,
                 s.eig_high,
@@ -1185,8 +1181,8 @@ fn emit_json(
             r.wall.as_secs_f64(),
             r.halo_cells,
             r.exchange_seconds,
-            json_escape(&r.requested_precond),
-            json_escape(&r.effective_precond),
+            escape(&r.requested_precond),
+            escape(&r.effective_precond),
             if i + 1 == fv_dd.rows.len() { "" } else { "," }
         ));
     }

@@ -735,7 +735,6 @@ mod tests {
         let scale = dense.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
         for precond in [
             Precond::Jacobi,
-            Precond::Ssor,
             Precond::Ic0,
             Precond::Chebyshev(4),
             // No grid shape on the FEM path: Multigrid falls back to

@@ -75,44 +75,49 @@ pub const OBS_ENV: &str = "AEROPACK_OBS";
 /// [`write_env_report`].
 pub const REPORT_ENV: &str = "AEROPACK_OBS_REPORT";
 
-/// The one flag every event checks. `true` when the base switch is on
-/// *or* at least one [`scoped`] override is alive anywhere in the
-/// process.
+/// The fast-path hint every event checks first: `true` when the base
+/// switch is on *or* at least one [`scoped`] override is alive anywhere
+/// in the process. While it is `false` an event costs this one relaxed
+/// load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-struct EnableState {
-    base: bool,
-    overrides: usize,
-}
+/// The process-global base switch ([`set_enabled`]).
+static BASE: AtomicBool = AtomicBool::new(false);
 
-static ENABLE_STATE: Mutex<EnableState> = Mutex::new(EnableState {
-    base: false,
-    overrides: 0,
-});
+/// Live [`scoped`] overrides across the process; the lock also orders
+/// updates of [`ENABLED`].
+static OVERRIDES: Mutex<usize> = Mutex::new(0);
 
 thread_local! {
     /// Per-thread registry override installed by [`scoped`]/[`attach`].
     static LOCAL_REGISTRY: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
-fn refresh_enabled(state: &EnableState) {
-    ENABLED.store(state.base || state.overrides > 0, Ordering::Relaxed);
+fn refresh_enabled(overrides: usize) {
+    ENABLED.store(
+        BASE.load(Ordering::Relaxed) || overrides > 0,
+        Ordering::Relaxed,
+    );
 }
 
-/// Whether observability is on — the single relaxed atomic load that
-/// guards every event in disabled mode.
+/// Whether events on *this thread* record: the thread has a sink,
+/// either because the base switch routes everything to the global
+/// registry or because a [`scoped`]/[`attach`] override is installed
+/// here. A scope alive on another thread does not enable this one. In
+/// disabled mode this is a single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+        && (BASE.load(Ordering::Relaxed) || LOCAL_REGISTRY.with(|l| l.borrow().is_some()))
 }
 
 /// Turns the process-global base switch on or off. Scoped overrides
-/// ([`scoped`]) keep events flowing while alive regardless of the base
-/// switch.
+/// ([`scoped`]) keep events flowing on their own threads while alive
+/// regardless of the base switch.
 pub fn set_enabled(on: bool) {
-    let mut state = ENABLE_STATE.lock().expect("obs enable state poisoned");
-    state.base = on;
-    refresh_enabled(&state);
+    let overrides = OVERRIDES.lock().expect("obs enable state poisoned");
+    BASE.store(on, Ordering::Relaxed);
+    refresh_enabled(*overrides);
 }
 
 /// Reads [`OBS_ENV`] and enables observability when it holds a truthy
@@ -156,25 +161,25 @@ impl Drop for OverrideGuard {
     fn drop(&mut self) {
         LOCAL_REGISTRY.with(|l| *l.borrow_mut() = self.prev.take());
         if self.counted {
-            let mut state = ENABLE_STATE.lock().expect("obs enable state poisoned");
-            state.overrides = state.overrides.saturating_sub(1);
-            refresh_enabled(&state);
+            let mut overrides = OVERRIDES.lock().expect("obs enable state poisoned");
+            *overrides = overrides.saturating_sub(1);
+            refresh_enabled(*overrides);
         }
     }
 }
 
 /// Test-scoped override: until the returned guard drops, events on
-/// this thread (and on any sweep workers the thread spawns through
-/// `aeropack-sweep`, which propagates the handle) record into `reg`,
-/// and observability is force-enabled for the whole process. Other
-/// threads outside the override keep recording into the global
-/// registry; a test that reads only its own `reg` is isolated.
+/// this thread (and on any workers the thread spawns through
+/// [`propagation_handle`] + [`attach`], as `aeropack-sweep` does)
+/// record into `reg`, whatever the base switch says. Threads outside
+/// the override are unaffected: with the base switch off they record
+/// nothing, so a test that reads only its own `reg` is isolated.
 #[must_use = "the override ends when the guard is dropped"]
 pub fn scoped(reg: Arc<Registry>) -> OverrideGuard {
     let prev = LOCAL_REGISTRY.with(|l| l.borrow_mut().replace(reg));
-    let mut state = ENABLE_STATE.lock().expect("obs enable state poisoned");
-    state.overrides += 1;
-    refresh_enabled(&state);
+    let mut overrides = OVERRIDES.lock().expect("obs enable state poisoned");
+    *overrides += 1;
+    refresh_enabled(*overrides);
     OverrideGuard {
         prev,
         counted: true,
@@ -375,6 +380,35 @@ mod tests {
             });
         });
         assert_eq!(reg.counter("test.worker.events"), 2);
+    }
+
+    #[test]
+    fn scope_on_another_thread_does_not_enable_this_one() {
+        // Thread A holds a scope while thread B, which has no sink,
+        // fires events; the barriers make the two overlap on every run.
+        let reg = Arc::new(Registry::new());
+        let in_scope = std::sync::Barrier::new(2);
+        let fired = std::sync::Barrier::new(2);
+        let b_enabled = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = scoped(reg.clone());
+                in_scope.wait();
+                fired.wait();
+            });
+            let b = s.spawn(|| {
+                in_scope.wait();
+                let on = enabled();
+                counter!("test.cross_thread");
+                histogram!("test.cross_thread.h", 1.0);
+                drop(span("test.cross_thread.span"));
+                fired.wait();
+                on
+            });
+            b.join().expect("thread B")
+        });
+        assert!(!b_enabled, "a scope on thread A enabled thread B");
+        assert_eq!(global_registry().counter("test.cross_thread"), 0);
+        assert_eq!(reg.counter("test.cross_thread"), 0);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Run-report JSON: a hand-rolled emitter (the workspace has a
 //! no-serde rule) and a minimal validating parser used by the CI obs
-//! smoke gate and the `obs_check` binary.
+//! smoke gate and the `obs_check` binary. The parser, the
+//! [`JsonValue`] model and its pretty writer, and the string
+//! [`escape`]r are the workspace's one JSON module: the golden
+//! snapshots, the mission checkpoints and the serve wire codec read
+//! and write through them.
 //!
 //! # Schema (`aeropack-obs-report/v1`)
 //!
@@ -31,7 +35,9 @@ use crate::registry::Snapshot;
 /// The schema tag stamped into (and required from) every run report.
 pub const SCHEMA: &str = "aeropack-obs-report/v1";
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (the surrounding
+/// quotes are not added).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -182,6 +188,56 @@ impl JsonValue {
             Self::String(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// The items, when this is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            Self::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    fn write_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let pad = "  ".repeat(depth);
+        let pad_in = "  ".repeat(depth + 1);
+        match self {
+            Self::Null => write!(f, "null"),
+            Self::Bool(b) => write!(f, "{b}"),
+            Self::Number(v) => {
+                debug_assert!(v.is_finite(), "JSON numbers must be finite");
+                write!(f, "{v}")
+            }
+            Self::String(s) => write!(f, "\"{}\"", escape(s)),
+            Self::Array(items) if items.is_empty() => write!(f, "[]"),
+            Self::Array(items) => {
+                writeln!(f, "[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{pad_in}")?;
+                    item.write_indented(f, depth + 1)?;
+                    writeln!(f, "{}", if i + 1 < items.len() { "," } else { "" })?;
+                }
+                write!(f, "{pad}]")
+            }
+            Self::Object(pairs) if pairs.is_empty() => write!(f, "{{}}"),
+            Self::Object(pairs) => {
+                writeln!(f, "{{")?;
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    write!(f, "{pad_in}\"{}\": ", escape(k))?;
+                    v.write_indented(f, depth + 1)?;
+                    writeln!(f, "{}", if i + 1 < pairs.len() { "," } else { "" })?;
+                }
+                write!(f, "{pad}}}")
+            }
+        }
+    }
+}
+
+/// Pretty-prints with two-space indentation and shortest-round-trip
+/// numbers (`{v}`), so write → [`parse`] is lossless for finite values.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_indented(f, 0)
     }
 }
 
@@ -618,6 +674,42 @@ mod tests {
             r#"{{"schema": "{SCHEMA}", "enabled": true, "counters": {{}}, "histograms": {{}}, "spans": {{"p": {{"count": 1}}}}}}"#
         );
         assert!(validate_report(&bad_span).is_err());
+    }
+
+    #[test]
+    fn pretty_writer_round_trips_nested_documents() {
+        let doc = JsonValue::Object(vec![
+            ("name".into(), JsonValue::String("fig10".into())),
+            (
+                "quantities".into(),
+                JsonValue::Array(vec![JsonValue::Object(vec![
+                    ("name".into(), JsonValue::String("p015/no_lhp".into())),
+                    ("value".into(), JsonValue::Number(37.251_234_567_891)),
+                    ("tol_rel".into(), JsonValue::Number(1e-6)),
+                ])]),
+            ),
+            ("empty".into(), JsonValue::Array(Vec::new())),
+            (
+                "escaped".into(),
+                JsonValue::String("line\nbreak \"quoted\" \\slash\ttab\u{1}".into()),
+            ),
+        ]);
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_writer_numbers_round_trip_exactly() {
+        for v in [
+            0.1,
+            -3.25e-17,
+            1.0 / 3.0,
+            f64::MIN_POSITIVE,
+            12345.678901234567,
+        ] {
+            let text = JsonValue::Number(v).to_string();
+            let back = parse(&text).unwrap().as_number().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{v} → {text}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use aeropack_obs::report::{parse, JsonValue};
+use aeropack_obs::report::{escape, parse, JsonValue};
 use aeropack_solver::{Slab, SlabSpec};
 
 use crate::error::Error;
@@ -57,22 +57,6 @@ pub struct WireResponse {
     pub id: u64,
     /// The outcome.
     pub result: Result<AnalysisResponse, Error>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn num(v: f64) -> String {
@@ -352,7 +336,7 @@ pub fn encode_response(response: &AnalysisResponse) -> String {
         } => {
             let tags: Vec<String> = topologies
                 .iter()
-                .map(|t| format!("\"{}\"", esc(t)))
+                .map(|t| format!("\"{}\"", escape(t)))
                 .collect();
             format!(
                 "{{\"type\":\"{tag}\",\"topologies\":[{}],\"dt_k\":{},\"mass_kg\":{},\
@@ -402,8 +386,8 @@ pub fn encode_response_line(resp: &WireResponse) -> String {
         Err(e) => format!(
             "{{\"id\":{},\"err\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
             resp.id,
-            esc(e.code()),
-            esc(&e.to_string())
+            escape(e.code()),
+            escape(&e.to_string())
         ),
     }
 }

@@ -12,9 +12,8 @@
 //!   partitioning keeps the result bitwise identical at any thread
 //!   count.
 //! * [`solve_sparse`] — preconditioned conjugate gradient with
-//!   pluggable [`Precond::Jacobi`] / [`Precond::Ssor`] /
-//!   [`Precond::Ic0`] / [`Precond::Chebyshev`] /
-//!   [`Precond::Multigrid`] preconditioners. IC(0) factors on the
+//!   pluggable [`Precond::Jacobi`] / [`Precond::Ic0`] /
+//!   [`Precond::Chebyshev`] / [`Precond::Multigrid`] preconditioners. IC(0) factors on the
 //!   matrix's own sparsity pattern (with diagonal-shift breakdown
 //!   fallback), caches the factor in the [`PcgWorkspace`] for reuse
 //!   across a sweep, applies it through level-scheduled parallel
@@ -26,8 +25,7 @@
 //!   Cholesky coarse solve; Chebyshev is its pure-algebraic fallback
 //!   (power-method spectral bounds cached in the workspace). Large
 //!   solves route SpMV through a cache-blocked SELL-style layout
-//!   ([`SellMatrix`]), and [`SolverConfig::mixed_precision`] opts into
-//!   f32 inner sweeps wrapped in f64 iterative refinement.
+//!   ([`SellMatrix`]).
 //! * [`ShardedSolve`] — domain-decomposed PCG: the structured grid
 //!   partitions into slab subdomains ([`Partition`]) with one-plane
 //!   halos ([`HaloExchange`]), [`Precond::AdditiveSchwarz`] applies
@@ -56,7 +54,7 @@
 //! });
 //! let cfg = SolverConfig::new()
 //!     .method(Method::Pcg)
-//!     .preconditioner(Precond::Ssor)
+//!     .preconditioner(Precond::Ic0)
 //!     .tolerance(1e-12);
 //! let sol = aeropack_solver::solve_sparse(&a, &vec![1.0; n], &cfg).unwrap();
 //! assert!(sol.stats.final_residual <= 1e-12);

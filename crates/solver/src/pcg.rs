@@ -23,7 +23,7 @@ use crate::cheb::{
     FALLBACK_CHEB_STEPS, POWER_ITERS,
 };
 use crate::config::{Solution, SolverConfig};
-use crate::csr::{spmv_f32, CsrMatrix, SellMatrix};
+use crate::csr::{CsrMatrix, SellMatrix};
 use crate::dd::{Partition, SchwarzSet};
 use crate::error::SolverError;
 use crate::ic0::Ic0Factor;
@@ -42,10 +42,6 @@ const SELL_MIN_ROWS: usize = 1024;
 enum Preconditioner<'a> {
     None,
     Jacobi(&'a [f64]),
-    Ssor {
-        matrix: &'a CsrMatrix,
-        diag: &'a [f64],
-    },
     Ic0 {
         factor: &'a Ic0Factor,
         threads: usize,
@@ -81,7 +77,6 @@ impl Preconditioner<'_> {
                     *zi = ri / di;
                 }
             }
-            Self::Ssor { matrix, diag } => matrix.ssor_apply(diag, r, z),
             Self::Ic0 { factor, threads } => factor.apply(r, z, *threads),
             Self::Chebyshev {
                 matrix,
@@ -196,24 +191,6 @@ struct AsCache {
     set: SchwarzSet,
 }
 
-/// The workspace's mixed-precision state: the `f32` shadow of the
-/// matrix values and diagonal plus the inner-CG buffers, keyed like
-/// [`Ic0Cache`].
-#[derive(Debug, Clone)]
-struct MixedCache {
-    key: (usize, usize),
-    vals_snapshot: Vec<f64>,
-    vals32: Vec<f32>,
-    diag32: Vec<f32>,
-    b32: Vec<f32>,
-    d32: Vec<f32>,
-    r32: Vec<f32>,
-    z32: Vec<f32>,
-    p32: Vec<f32>,
-    ap32: Vec<f32>,
-    rd: Vec<f64>,
-}
-
 /// Reusable PCG scratch space: the residual/search/preconditioner
 /// buffers, the screened diagonal, and — for [`Precond::Ic0`] — the
 /// cached RCM permutation and IC(0) factor. Create one per solving
@@ -238,7 +215,6 @@ pub struct PcgWorkspace {
     cheb: Option<ChebCache>,
     mg: Option<MgCache>,
     sell: Option<SellCache>,
-    mixed: Option<MixedCache>,
     schwarz: Option<AsCache>,
 }
 
@@ -269,7 +245,7 @@ impl PcgWorkspace {
 /// Solves the SPD system `A·x = b` with `A` in CSR form through the
 /// configured iterative method. This is the entry point the
 /// finite-volume solvers use; it supports every [`Precond`], including
-/// [`Precond::Ssor`] which needs the explicit sparse storage.
+/// the ones that need the explicit sparse storage.
 ///
 /// Allocates a fresh [`PcgWorkspace`] per call — prefer
 /// [`solve_sparse_with`] when solving repeatedly.
@@ -375,20 +351,6 @@ pub fn solve_sparse_into(
              is built on (use Reorder::None or Reorder::Auto)",
         ));
     }
-    if cfg.get_mixed_precision() {
-        if !matches!(precond_kind, Precond::Jacobi | Precond::None) {
-            return Err(SolverError::invalid(
-                "mixed-precision solves support Precond::Jacobi / Precond::None \
-                 (the inner f32 iteration is Jacobi-preconditioned)",
-            ));
-        }
-        if cfg.rcm_engages() {
-            return Err(SolverError::invalid(
-                "mixed-precision solves do not support RCM reordering",
-            ));
-        }
-        return solve_mixed_into(ws, a, b, x, cfg, setup_start);
-    }
     let threads = cfg.get_threads();
     let use_rcm = cfg.rcm_engages() && n > 1;
     if use_rcm && precond_kind == Precond::Multigrid {
@@ -411,7 +373,6 @@ pub fn solve_sparse_into(
         cheb,
         mg,
         sell,
-        mixed: _,
         schwarz,
     } = ws;
     if use_rcm {
@@ -472,10 +433,6 @@ pub fn solve_sparse_into(
     let mut precond = match precond_kind {
         Precond::None => Preconditioner::None,
         Precond::Jacobi => Preconditioner::Jacobi(diag),
-        Precond::Ssor => Preconditioner::Ssor {
-            matrix: system,
-            diag,
-        },
         Precond::Ic0 => Preconditioner::Ic0 {
             factor: &ic0.as_ref().expect("factor ensured above").factor,
             threads,
@@ -820,236 +777,10 @@ fn ensure_mg(
     Ok(stats)
 }
 
-/// Relative tolerance for the inner f32 Jacobi-CG sweep. Tighter than
-/// single-precision roundoff buys nothing; looser wastes outer
-/// refinement passes.
-const MIXED_INNER_TOL: f32 = 1e-4;
-/// Refinement passes before the mixed solve gives up.
-const MIXED_MAX_OUTER: usize = 60;
-/// An outer pass must shrink the f64 residual by at least this factor,
-/// otherwise refinement has stalled at the f32 accuracy floor.
-const MIXED_STALL_FACTOR: f64 = 0.9;
-
-/// Mixed-precision solve: f32 Jacobi-CG inner sweeps wrapped in f64
-/// iterative refinement. Each outer pass scales the f64 residual by
-/// its ∞-norm (so it spans the f32 range), solves the correction in
-/// single precision, and re-forms the true f64 residual.
-fn solve_mixed_into(
-    ws: &mut PcgWorkspace,
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &SolverConfig,
-    setup_start: Instant,
-) -> Result<SolverStats, SolverError> {
-    let n = a.n();
-    let threads = cfg.get_threads();
-    let context = cfg.get_context();
-    ensure_mixed(&mut ws.mixed, a);
-    if n >= SELL_MIN_ROWS {
-        ensure_sell(&mut ws.sell, a);
-    }
-    let PcgWorkspace {
-        history,
-        sell,
-        mixed,
-        ..
-    } = ws;
-    let mx = mixed.as_mut().expect("mixed cache ensured above");
-    if mx.diag32.iter().any(|&d| d <= 0.0) {
-        // A positive f64 diagonal can still underflow to zero in f32.
-        return Err(SolverError::Singular { context });
-    }
-    let sell_ref: Option<&SellMatrix> = if n >= SELL_MIN_ROWS {
-        sell.as_ref().map(|c| &c.sell)
-    } else {
-        None
-    };
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let iter_start = Instant::now();
-    aeropack_obs::counter!("solver.pcg.mixed_solves");
-    let tol = cfg.get_tolerance();
-    let record = cfg.get_record_history();
-    let budget = cfg.iteration_budget(n);
-    history.clear();
-    x.fill(0.0);
-    let stats = |iterations: usize, history: Vec<f64>, final_residual: f64| {
-        let iterate_seconds = iter_start.elapsed().as_secs_f64();
-        aeropack_obs::counter!("solver.pcg.solves");
-        aeropack_obs::counter!("solver.pcg.iterations", iterations);
-        SolverStats {
-            context,
-            method: Method::Pcg,
-            preconditioner: cfg.get_preconditioner(),
-            requested_preconditioner: cfg.get_preconditioner(),
-            unknowns: n,
-            threads: cfg.get_threads(),
-            iterations,
-            residual_history: history,
-            final_residual,
-            tolerance: tol,
-            wall_time: Duration::from_secs_f64(setup_seconds + iterate_seconds),
-            setup_seconds,
-            iterate_seconds,
-            factorization: None,
-            spectral: None,
-            dd: None,
-        }
-    };
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        return Ok(stats(0, Vec::new(), 0.0));
-    }
-    mx.rd.copy_from_slice(b);
-    let mut total_inner = 0usize;
-    let mut rel = 1.0f64;
-    let mut prev_rel = f64::INFINITY;
-    for _outer in 0..MIXED_MAX_OUTER {
-        aeropack_obs::counter!("solver.pcg.mixed_refinements");
-        let scale = mx.rd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if scale == 0.0 {
-            rel = 0.0;
-            break;
-        }
-        for (b32, rd) in mx.b32.iter_mut().zip(mx.rd.iter()) {
-            *b32 = (rd / scale) as f32;
-        }
-        let remaining = budget.saturating_sub(total_inner).max(1);
-        total_inner += inner_cg_f32(a, mx, MIXED_INNER_TOL, remaining);
-        for (xi, d) in x.iter_mut().zip(mx.d32.iter()) {
-            *xi += scale * f64::from(*d);
-        }
-        match sell_ref {
-            Some(s) => s.spmv_into(x, &mut mx.rd, threads),
-            None => a.spmv_into(x, &mut mx.rd, threads),
-        }
-        for (rd, bi) in mx.rd.iter_mut().zip(b.iter()) {
-            *rd = bi - *rd;
-        }
-        rel = mx.rd.iter().map(|v| v * v).sum::<f64>().sqrt() / b_norm;
-        if record {
-            history.push(rel);
-        }
-        if rel <= tol {
-            let recorded = if record { history.clone() } else { Vec::new() };
-            return Ok(stats(total_inner, recorded, rel));
-        }
-        if rel >= prev_rel * MIXED_STALL_FACTOR || total_inner >= budget {
-            break;
-        }
-        prev_rel = rel;
-    }
-    if rel <= tol {
-        let recorded = if record { history.clone() } else { Vec::new() };
-        return Ok(stats(total_inner, recorded, rel));
-    }
-    aeropack_obs::counter!("solver.pcg.not_converged");
-    Err(SolverError::NotConverged {
-        context,
-        iterations: total_inner,
-        residual: rel,
-    })
-}
-
-/// Brings the workspace's f32 shadow of `a` (values + diagonal +
-/// iteration scratch) in sync; pattern hits with changed values
-/// re-demote in place without allocating.
-fn ensure_mixed(cache: &mut Option<MixedCache>, a: &CsrMatrix) {
-    let key = a.pattern().key();
-    if let Some(c) = cache {
-        if c.key == key {
-            if c.vals_snapshot.as_slice() != a.values() {
-                for (v32, &v) in c.vals32.iter_mut().zip(a.values()) {
-                    *v32 = v as f32;
-                }
-                for (i, d32) in c.diag32.iter_mut().enumerate() {
-                    *d32 = a.get(i, i) as f32;
-                }
-                c.vals_snapshot.copy_from_slice(a.values());
-            }
-            return;
-        }
-    }
-    let n = a.n();
-    *cache = Some(MixedCache {
-        key,
-        vals_snapshot: a.values().to_vec(),
-        vals32: a.values().iter().map(|&v| v as f32).collect(),
-        diag32: (0..n).map(|i| a.get(i, i) as f32).collect(),
-        b32: vec![0.0; n],
-        d32: vec![0.0; n],
-        r32: vec![0.0; n],
-        z32: vec![0.0; n],
-        p32: vec![0.0; n],
-        ap32: vec![0.0; n],
-        rd: vec![0.0; n],
-    });
-}
-
-/// Jacobi-preconditioned CG entirely in f32, solving `A·d = b32` into
-/// `mx.d32`. Returns the iteration count; bails early (letting the
-/// outer refinement recover) when f32 roundoff makes the curvature
-/// non-positive or non-finite.
-fn inner_cg_f32(a: &CsrMatrix, mx: &mut MixedCache, tol: f32, max_iter: usize) -> usize {
-    let n = a.n();
-    let row_ptr = a.row_offsets();
-    let cols = a.col_indices();
-    let MixedCache {
-        vals32,
-        diag32,
-        b32,
-        d32,
-        r32,
-        z32,
-        p32,
-        ap32,
-        ..
-    } = mx;
-    d32.fill(0.0);
-    r32.copy_from_slice(b32);
-    let bn = r32.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if bn == 0.0 {
-        return 0;
-    }
-    for (z, (r, d)) in z32.iter_mut().zip(r32.iter().zip(diag32.iter())) {
-        *z = r / d;
-    }
-    p32.copy_from_slice(z32);
-    let mut rz: f32 = r32.iter().zip(z32.iter()).map(|(a, b)| a * b).sum();
-    for iter in 0..max_iter {
-        spmv_f32(row_ptr, cols, vals32, p32, ap32);
-        let pap: f32 = p32.iter().zip(ap32.iter()).map(|(a, b)| a * b).sum();
-        if pap <= 0.0 || !pap.is_finite() {
-            return iter;
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            d32[i] += alpha * p32[i];
-            r32[i] -= alpha * ap32[i];
-        }
-        let rel = r32.iter().map(|v| v * v).sum::<f32>().sqrt() / bn;
-        if rel <= tol {
-            return iter + 1;
-        }
-        for (z, (r, d)) in z32.iter_mut().zip(r32.iter().zip(diag32.iter())) {
-            *z = r / d;
-        }
-        let rz_new: f32 = r32.iter().zip(z32.iter()).map(|(a, b)| a * b).sum();
-        if rz_new <= 0.0 || !rz_new.is_finite() {
-            return iter + 1;
-        }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p32[i] = z32[i] + beta * p32[i];
-        }
-    }
-    max_iter
-}
-
 /// Solves the SPD system `A·x = b` for any [`LinearOperator`]
-/// (matrix-free stencils included). [`Precond::Ssor`] needs explicit
-/// storage and is rejected here — use [`solve_sparse`].
+/// (matrix-free stencils included). Only [`Precond::None`] and
+/// [`Precond::Jacobi`] work here: the others need explicit storage and
+/// are rejected — use [`solve_sparse`].
 ///
 /// # Errors
 ///
@@ -1085,11 +816,6 @@ pub fn solve_operator(
     let mut precond = match cfg.get_preconditioner() {
         Precond::None => Preconditioner::None,
         Precond::Jacobi => Preconditioner::Jacobi(diag),
-        Precond::Ssor => {
-            return Err(SolverError::invalid(
-                "SSOR preconditioning needs explicit CSR storage (use solve_sparse)",
-            ))
-        }
         Precond::Ic0 => {
             return Err(SolverError::invalid(
                 "IC(0) preconditioning needs explicit CSR storage (use solve_sparse)",
@@ -1219,7 +945,6 @@ where
             match precond_kind {
                 Precond::None => "solver.pcg.iterations.none",
                 Precond::Jacobi => "solver.pcg.iterations.jacobi",
-                Precond::Ssor => "solver.pcg.iterations.ssor",
                 Precond::Ic0 => "solver.pcg.iterations.ic0",
                 Precond::Chebyshev(_) => "solver.pcg.iterations.chebyshev",
                 Precond::Multigrid => "solver.pcg.iterations.mg",
@@ -1320,7 +1045,7 @@ mod tests {
         let n = 50;
         let a = laplacian(n);
         let b = vec![1.0; n];
-        for precond in [Precond::None, Precond::Jacobi, Precond::Ssor, Precond::Ic0] {
+        for precond in [Precond::None, Precond::Jacobi, Precond::Ic0] {
             let cfg = SolverConfig::new()
                 .preconditioner(precond)
                 .tolerance(1e-12)
@@ -1338,23 +1063,6 @@ mod tests {
             assert_eq!(sol.stats.residual_history.len(), sol.stats.iterations);
             assert!(sol.stats.converged());
         }
-    }
-
-    #[test]
-    fn ssor_converges_faster_than_jacobi() {
-        let n = 200;
-        let a = laplacian(n);
-        let b = vec![1.0; n];
-        let jacobi =
-            solve_sparse(&a, &b, &SolverConfig::new().preconditioner(Precond::Jacobi)).unwrap();
-        let ssor =
-            solve_sparse(&a, &b, &SolverConfig::new().preconditioner(Precond::Ssor)).unwrap();
-        assert!(
-            ssor.stats.iterations < jacobi.stats.iterations,
-            "SSOR {} vs Jacobi {}",
-            ssor.stats.iterations,
-            jacobi.stats.iterations
-        );
     }
 
     #[test]
@@ -1398,9 +1106,9 @@ mod tests {
     }
 
     #[test]
-    fn operator_path_rejects_ssor() {
+    fn operator_path_rejects_additive_schwarz() {
         let a = laplacian(4);
-        let cfg = SolverConfig::new().preconditioner(Precond::Ssor);
+        let cfg = SolverConfig::new().preconditioner(Precond::AdditiveSchwarz(2));
         assert!(matches!(
             solve_operator(&a, &[1.0; 4], &cfg),
             Err(SolverError::InvalidInput { .. })
@@ -1418,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn ic0_converges_in_fewer_iterations_than_jacobi_and_ssor() {
+    fn ic0_converges_in_fewer_iterations_than_jacobi() {
         let n = 400;
         let a = laplacian(n);
         let b = vec![1.0; n];
@@ -1428,12 +1136,7 @@ mod tests {
                 .stats
                 .iterations
         };
-        let (jacobi, ssor, ic0) = (
-            iters(Precond::Jacobi),
-            iters(Precond::Ssor),
-            iters(Precond::Ic0),
-        );
-        assert!(ic0 < ssor, "IC(0) {ic0} vs SSOR {ssor}");
+        let (jacobi, ic0) = (iters(Precond::Jacobi), iters(Precond::Ic0));
         assert!(ic0 * 2 <= jacobi, "IC(0) {ic0} vs Jacobi {jacobi}");
     }
 
@@ -1473,7 +1176,7 @@ mod tests {
         let n = 150;
         let a = laplacian(n);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() + 2.0).collect();
-        for precond in [Precond::Jacobi, Precond::Ssor, Precond::Ic0] {
+        for precond in [Precond::Jacobi, Precond::Ic0] {
             let plain = solve_sparse(
                 &a,
                 &b,
@@ -1509,7 +1212,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        for precond in [Precond::None, Precond::Jacobi, Precond::Ssor, Precond::Ic0] {
+        for precond in [Precond::None, Precond::Jacobi, Precond::Ic0] {
             let cfg = SolverConfig::new().preconditioner(precond).tolerance(1e-12);
             let mut ws = PcgWorkspace::new();
             for b in &rhs {
@@ -1892,62 +1595,6 @@ mod tests {
         assert!(!first.stats.spectral.unwrap().reused);
         let second = solve_sparse_with(&mut ws, &a, &b, &cfg).unwrap();
         assert!(second.stats.spectral.unwrap().reused);
-    }
-
-    #[test]
-    fn mixed_precision_reaches_f64_tolerance_on_ill_conditioned_system() {
-        // Diagonal spread of 1e6 on top of the Laplacian coupling:
-        // single precision alone stalls near 1e-7, so hitting 1e-12
-        // proves the f64 refinement loop is doing its job.
-        let n = 400;
-        let a = CsrMatrix::from_row_fn(n, 1, |i, row| {
-            let d = 1.0 + 1.0e6 * (i as f64 / (n - 1) as f64);
-            if i > 0 {
-                row.push((i - 1, -1.0));
-            }
-            row.push((i, d + 2.0));
-            if i + 1 < n {
-                row.push((i + 1, -1.0));
-            }
-        });
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).cos() * 3.0).collect();
-        let cfg = SolverConfig::new()
-            .preconditioner(Precond::Jacobi)
-            .mixed_precision(true)
-            .tolerance(1e-12);
-        let sol = solve_sparse(&a, &b, &cfg).unwrap();
-        assert!(sol.stats.converged());
-        assert!(sol.stats.final_residual <= 1e-12);
-        // Cross-check against the plain f64 path.
-        let f64_sol = solve_sparse(
-            &a,
-            &b,
-            &SolverConfig::new()
-                .preconditioner(Precond::Jacobi)
-                .tolerance(1e-12),
-        )
-        .unwrap();
-        for (p, q) in sol.x.iter().zip(&f64_sol.x) {
-            assert!((p - q).abs() <= 1e-9 * q.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn mixed_precision_rejects_unsupported_preconditioners() {
-        let a = laplacian(16);
-        let b = vec![1.0; 16];
-        for precond in [Precond::Ssor, Precond::Ic0, Precond::Multigrid] {
-            let cfg = SolverConfig::new()
-                .preconditioner(precond)
-                .mixed_precision(true);
-            assert!(
-                matches!(
-                    solve_sparse(&a, &b, &cfg),
-                    Err(SolverError::InvalidInput { .. })
-                ),
-                "{precond} should be rejected under mixed precision"
-            );
-        }
     }
 
     #[test]

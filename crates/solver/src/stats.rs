@@ -36,9 +36,6 @@ pub enum Precond {
     None,
     /// Diagonal (Jacobi) scaling.
     Jacobi,
-    /// Symmetric successive over-relaxation with ω = 1 (symmetric
-    /// Gauss–Seidel). Requires explicit sparse storage.
-    Ssor,
     /// Incomplete Cholesky IC(0): a sparse factorisation on the matrix's
     /// own sparsity pattern, applied as forward/backward triangular
     /// solves. Requires explicit sparse storage; the factor is cached in
@@ -84,14 +81,13 @@ pub enum Precond {
 
 impl Precond {
     /// A stable small-integer code for fingerprinting and wire formats.
-    /// The first four values match the historical enum discriminants,
-    /// so fingerprints of Jacobi/SSOR/IC(0) configurations are
-    /// unchanged by the addition of the data-carrying variants.
+    /// The codes are frozen: model fingerprints, serve cache keys and
+    /// checkpoint hashes all hash them. Code 2 belonged to the removed
+    /// SSOR preconditioner and stays unused.
     pub fn code(self) -> u8 {
         match self {
             Self::None => 0,
             Self::Jacobi => 1,
-            Self::Ssor => 2,
             Self::Ic0 => 3,
             Self::Chebyshev(_) => 4,
             Self::Multigrid => 5,
@@ -117,7 +113,6 @@ impl fmt::Display for Precond {
         match self {
             Self::None => f.write_str("none"),
             Self::Jacobi => f.write_str("Jacobi"),
-            Self::Ssor => f.write_str("SSOR"),
             Self::Ic0 => f.write_str("IC(0)"),
             Self::Chebyshev(k) => write!(f, "Chebyshev({k})"),
             Self::Multigrid => f.write_str("MG"),
@@ -305,5 +300,25 @@ impl fmt::Display for SolverStats {
             self.final_residual,
             self.wall_time.as_secs_f64() * 1e3,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn precond_codes_are_frozen() {
+        // Fingerprints hash these codes; 2 (the removed SSOR) stays unused.
+        for (precond, code) in [
+            (Precond::None, 0),
+            (Precond::Jacobi, 1),
+            (Precond::Ic0, 3),
+            (Precond::Chebyshev(4), 4),
+            (Precond::Multigrid, 5),
+            (Precond::AdditiveSchwarz(2), 6),
+        ] {
+            assert_eq!(precond.code(), code, "{precond}");
+        }
     }
 }

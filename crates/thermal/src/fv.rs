@@ -225,19 +225,6 @@ pub struct FvModel {
     cache_hits: AtomicUsize,
     cache_misses: AtomicUsize,
     workspace: Mutex<PcgWorkspace>,
-    /// Cached stepper for the deprecated [`FvModel::step_transient`]
-    /// shim, keyed on the model fingerprint and step length so repeated
-    /// calls forward through one stepper instead of re-assembling the
-    /// system every step.
-    transient_cache: Mutex<Option<CachedTransient>>,
-}
-
-/// The keyed stepper behind the deprecated per-call transient path.
-#[derive(Debug)]
-struct CachedTransient {
-    model_fingerprint: u64,
-    dt_bits: u64,
-    stepper: TransientStepper,
 }
 
 impl Clone for FvModel {
@@ -258,7 +245,6 @@ impl Clone for FvModel {
             cache_hits: AtomicUsize::new(0),
             cache_misses: AtomicUsize::new(0),
             workspace: Mutex::new(PcgWorkspace::new()),
-            transient_cache: Mutex::new(None),
         }
     }
 }
@@ -281,7 +267,6 @@ impl FvModel {
             cache_hits: AtomicUsize::new(0),
             cache_misses: AtomicUsize::new(0),
             workspace: Mutex::new(PcgWorkspace::new()),
-            transient_cache: Mutex::new(None),
         }
     }
 
@@ -296,8 +281,8 @@ impl FvModel {
         &self.config
     }
 
-    /// Statistics of the most recent steady or (deprecated per-step)
-    /// transient solve on this model, if any.
+    /// Statistics of the most recent steady solve on this model, if
+    /// any.
     pub fn last_solve_stats(&self) -> Option<SolverStats> {
         self.stats.lock().expect("stats lock poisoned").clone()
     }
@@ -917,70 +902,6 @@ impl FvModel {
         })
     }
 
-    /// Advances a transient solution by one implicit-Euler step of
-    /// length `dt_seconds` from the state `field`.
-    ///
-    /// The first call (for a given model state and step length)
-    /// constructs a [`TransientStepper`] and caches it on the model;
-    /// every later call forwards through that cached stepper exactly
-    /// once, so the system matrix is **not** re-assembled per step and
-    /// the stepper's warm solver workspace is reused. The cache is
-    /// keyed on the model's content [`FvModel::fingerprint`] and the
-    /// step length, so mutating the model (power, BCs, materials) or
-    /// changing `dt_seconds` rebuilds transparently. Results are
-    /// bitwise identical to driving a [`TransientStepper`] directly.
-    ///
-    /// Prefer [`FvModel::transient_stepper`], which skips the per-call
-    /// fingerprint and lock traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive step, mismatched field, or a
-    /// solver failure.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `transient_stepper`, which caches the assembled matrix across steps"
-    )]
-    pub fn step_transient(
-        &self,
-        field: &FvField,
-        dt_seconds: f64,
-    ) -> Result<FvField, ThermalError> {
-        if dt_seconds <= 0.0 {
-            return Err(ThermalError::invalid("time step must be positive"));
-        }
-        if field.temperatures.len() != self.grid.cell_count() {
-            return Err(ThermalError::invalid("field does not match this grid"));
-        }
-        let model_fingerprint = self.fingerprint();
-        let dt_bits = dt_seconds.to_bits();
-        let mut cached = self
-            .transient_cache
-            .lock()
-            .expect("transient cache lock poisoned");
-        let hit = cached
-            .as_ref()
-            .is_some_and(|c| c.model_fingerprint == model_fingerprint && c.dt_bits == dt_bits);
-        if hit {
-            aeropack_obs::counter!("thermal.fv.transient_cache.hits");
-        } else {
-            aeropack_obs::counter!("thermal.fv.transient_cache.misses");
-            *cached = Some(CachedTransient {
-                model_fingerprint,
-                dt_bits,
-                stepper: self.transient_stepper(field.clone(), dt_seconds)?,
-            });
-        }
-        let stepper = &mut cached.as_mut().expect("cache populated above").stepper;
-        stepper
-            .field
-            .temperatures
-            .copy_from_slice(&field.temperatures);
-        stepper.step()?;
-        *self.stats.lock().expect("stats lock poisoned") = stepper.last_solve_stats();
-        Ok(stepper.field.clone())
-    }
-
     /// Creates an implicit-Euler transient stepper starting from
     /// `initial`. The system matrix (conduction plus capacity terms) is
     /// assembled once here and reused by every [`TransientStepper::step`].
@@ -1528,74 +1449,15 @@ mod tests {
             },
         );
         let steady = model.solve_steady().unwrap();
-        let mut field = model.uniform_field(Celsius::new(20.0));
-        // The deprecated per-step path must keep working (and agreeing
-        // with the cached-stepper path) until it is removed.
-        #[allow(deprecated)]
+        let mut stepper = model
+            .transient_stepper(model.uniform_field(Celsius::new(20.0)), 5.0)
+            .unwrap();
         for _ in 0..400 {
-            field = model.step_transient(&field, 5.0).unwrap();
+            stepper.step().unwrap();
         }
+        let field = stepper.field();
         let dmax = (field.max_temperature().value() - steady.max_temperature().value()).abs();
         assert!(dmax < 0.05, "transient must settle to steady: Δ={dmax}");
-    }
-
-    #[test]
-    fn deprecated_step_transient_matches_stepper_bitwise() {
-        // Satellite of the mission-transient PR: the deprecated per-call
-        // shim must forward through one cached stepper (assembling the
-        // system exactly once) and reproduce the explicit stepper path
-        // bit for bit, step after step.
-        let grid = FvGrid::new((0.05, 0.05, 0.005), (5, 5, 2)).unwrap();
-        let mut model = FvModel::new(grid, &Material::aluminum_6061());
-        model
-            .add_power_box(Power::new(6.0), (1, 1, 0), (4, 4, 1))
-            .unwrap();
-        model.set_face_bc(
-            Face::ZMax,
-            FaceBc::Convection {
-                h: HeatTransferCoeff::new(80.0),
-                ambient: Celsius::new(25.0),
-            },
-        );
-        let dt = 2.5;
-        let mut stepper = model
-            .transient_stepper(model.uniform_field(Celsius::new(25.0)), dt)
-            .unwrap();
-        let mut field = model.uniform_field(Celsius::new(25.0));
-        let (_, misses_before) = model.pattern_cache_stats();
-        for step in 0..6 {
-            #[allow(deprecated)]
-            {
-                field = model.step_transient(&field, dt).unwrap();
-            }
-            stepper.step().unwrap();
-            assert_eq!(
-                field.temperatures(),
-                stepper.field().temperatures(),
-                "deprecated path diverged from the stepper at step {step}"
-            );
-        }
-        // One assembly for the explicit stepper, one for the cached shim
-        // on its first call — and none for the five calls after it.
-        let (_, misses_after) = model.pattern_cache_stats();
-        assert_eq!(
-            misses_after - misses_before,
-            0,
-            "pattern misses should not grow"
-        );
-        let (hits, misses) = model.pattern_cache_stats();
-        assert_eq!(
-            (hits, misses),
-            (1, 1),
-            "one symbolic build (explicit stepper) plus one pattern-hit \
-             assembly (the shim's first call) expected"
-        );
-        // Changing the step length rebuilds the cached stepper once.
-        #[allow(deprecated)]
-        let via_shim = model.step_transient(&field, dt * 2.0).unwrap();
-        let mut fresh = model.transient_stepper(field.clone(), dt * 2.0).unwrap();
-        fresh.step().unwrap();
-        assert_eq!(via_shim.temperatures(), fresh.field().temperatures());
     }
 
     #[test]
@@ -1643,11 +1505,15 @@ mod tests {
             .unwrap();
         model.set_face_bc(Face::XMin, FaceBc::FixedTemperature(Celsius::new(20.0)));
         assert!(model.last_solve_stats().is_none());
-        model.set_solver_config(SolverConfig::new().preconditioner(Precond::Ssor).threads(2));
+        model.set_solver_config(
+            SolverConfig::new()
+                .preconditioner(Precond::Chebyshev(4))
+                .threads(2),
+        );
         model.solve_steady().unwrap();
         let stats = model.last_solve_stats().unwrap();
         assert_eq!(stats.method, Method::Pcg);
-        assert_eq!(stats.preconditioner, Precond::Ssor);
+        assert_eq!(stats.preconditioner, Precond::Chebyshev(4));
         assert_eq!(stats.threads, 2);
         assert_eq!(stats.unknowns, 64);
         assert!(stats.iterations > 0);
@@ -1748,7 +1614,7 @@ mod tests {
             .unwrap();
         model.set_face_bc(Face::XMin, FaceBc::FixedTemperature(Celsius::new(20.0)));
         let jacobi = model.solve_steady().unwrap();
-        for (precond, threads) in [(Precond::Ssor, 4), (Precond::Ic0, 2)] {
+        for (precond, threads) in [(Precond::Chebyshev(4), 4), (Precond::Ic0, 2)] {
             model.set_solver_config(SolverConfig::new().preconditioner(precond).threads(threads));
             let other = model.solve_steady().unwrap();
             for i in 0..6 {

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::Json;
+use aeropack_obs::report::{parse, JsonValue};
 
 /// Environment variable that switches [`Snapshot::gate`] into update
 /// mode.
@@ -92,17 +92,17 @@ impl Snapshot {
             .quantities
             .iter()
             .map(|q| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(q.name.clone())),
-                    ("value".into(), Json::Num(q.value)),
-                    ("tol_abs".into(), Json::Num(q.tol_abs)),
-                    ("tol_rel".into(), Json::Num(q.tol_rel)),
+                JsonValue::Object(vec![
+                    ("name".into(), JsonValue::String(q.name.clone())),
+                    ("value".into(), JsonValue::Number(q.value)),
+                    ("tol_abs".into(), JsonValue::Number(q.tol_abs)),
+                    ("tol_rel".into(), JsonValue::Number(q.tol_rel)),
                 ])
             })
             .collect();
-        let doc = Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("quantities".into(), Json::Arr(quantities)),
+        let doc = JsonValue::Object(vec![
+            ("name".into(), JsonValue::String(self.name.clone())),
+            ("quantities".into(), JsonValue::Array(quantities)),
         ]);
         format!("{doc}\n")
     }
@@ -114,26 +114,26 @@ impl Snapshot {
     /// Returns a message on malformed JSON or a missing/ill-typed
     /// field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text)?;
+        let doc = parse(text).map_err(|e| e.to_string())?;
         let name = doc
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("snapshot missing 'name'")?
             .to_string();
         let mut snapshot = Self::new(name);
         let items = doc
             .get("quantities")
-            .and_then(Json::as_array)
+            .and_then(JsonValue::as_array)
             .ok_or("snapshot missing 'quantities'")?;
         for item in items {
             let field = |key: &str| {
                 item.get(key)
-                    .and_then(Json::as_f64)
+                    .and_then(JsonValue::as_number)
                     .ok_or_else(|| format!("quantity missing '{key}'"))
             };
             snapshot.push(
                 item.get("name")
-                    .and_then(Json::as_str)
+                    .and_then(JsonValue::as_str)
                     .ok_or("quantity missing 'name'")?,
                 field("value")?,
                 field("tol_abs")?,

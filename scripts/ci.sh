@@ -10,6 +10,13 @@ cargo build --release --workspace --offline
 echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
 
+echo "==> perfbench build + test (the benchmark harness links the workspace crates)"
+# perfbench is a standalone package (own [workspace]), so the workspace
+# build above does not cover it; building it here makes a removed or
+# renamed public API the benchmark uses fail CI, not the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
