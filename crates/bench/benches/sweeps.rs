@@ -64,7 +64,8 @@ fn hardware_threads() -> usize {
 struct SweepRecord {
     name: &'static str,
     scenarios: usize,
-    /// `(threads, mean wall)` pairs, serial first.
+    /// `(threads, wall)` pairs, serial first: the mean wall, or the
+    /// median of [`WALL_GATE_REPS`] for rows with a wall gate.
     walls: Vec<(usize, Duration)>,
     stats: SweepStats,
     deterministic: bool,
@@ -93,6 +94,46 @@ fn fold_str(bits: &mut Vec<u64>, s: &str) {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     bits.push(h);
+}
+
+/// Repetitions behind each wall of a wall-gated row. The smoke-mode
+/// `fv_power_scale` run takes ~60 µs, and a shared host swings such
+/// short runs by ±30 % between fast and slow phases: on a 2-core
+/// x86-64 host, medians of 21 still failed the 0.95× gate in 2 runs of
+/// 80, while medians of 101 held the 2-thread/serial ratio at
+/// 1.00 ± 0.013 (σ, 80 runs). 201 leaves a further margin.
+const WALL_GATE_REPS: usize = 201;
+
+/// The median wall of `reps` runs of `run(threads)` per thread count.
+/// The thread counts take turns within each repetition, in alternating
+/// order, so drift of the host (other tenants, frequency scaling) and
+/// any first-or-second bias land on every count alike.
+fn median_walls<T>(
+    thread_counts: &[usize],
+    reps: usize,
+    mut run: impl FnMut(usize) -> T,
+) -> Vec<(usize, Duration)> {
+    let mut samples = vec![Vec::with_capacity(reps); thread_counts.len()];
+    for rep in 0..reps {
+        for k in 0..thread_counts.len() {
+            let k = if rep % 2 == 0 {
+                k
+            } else {
+                thread_counts.len() - 1 - k
+            };
+            let start = Instant::now();
+            std::hint::black_box(run(thread_counts[k]));
+            samples[k].push(start.elapsed());
+        }
+    }
+    thread_counts
+        .iter()
+        .zip(samples)
+        .map(|(&t, mut walls)| {
+            walls.sort_unstable();
+            (t, walls[walls.len() / 2])
+        })
+        .collect()
 }
 
 /// Runs `fingerprint` at every thread count and reports whether all
@@ -374,11 +415,10 @@ fn bench_fv_power_scale(smoke: bool, thread_counts: &[usize]) -> SweepRecord {
     };
     let deterministic = check_identical(thread_counts, fingerprint);
 
-    let iters = if smoke { 1 } else { 3 };
-    let walls: Vec<(usize, Duration)> = thread_counts
-        .iter()
-        .map(|&t| (t, time_mean(0, iters, || run(t))))
-        .collect();
+    // This row carries a wall gate (see `main`), so it is timed by
+    // median rather than mean: one pre-empted run on a shared host must
+    // not decide the verdict.
+    let walls = median_walls(thread_counts, WALL_GATE_REPS, &run);
     let stats = run(*thread_counts.last().expect("thread counts")).1;
 
     SweepRecord {
@@ -763,7 +803,8 @@ fn fv_large_model(n: usize) -> FvModel {
 /// clock); field parity vs Jacobi (≤ 1e-4 K) and the iteration gates —
 /// IC(0) halves Jacobi's count, multigrid converges in ≤ 40 iterations
 /// at 64³ and within 1.5× of its 32³ count (mesh independence) — are
-/// enforced always.
+/// enforced always, and so is the multigrid operator complexity
+/// (hierarchy non-zeros over fine non-zeros ≤ 4.5).
 fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
     let n = if smoke { 20 } else { 64 };
     let oversubscribed = hardware_threads < 2;
@@ -858,6 +899,15 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
     assert!(
         mg_spec.levels >= 2,
         "multigrid must actually coarsen the {n}³ grid"
+    );
+    // A count gate on the setup cost: every smoothing pass below the
+    // finest transfer widens the coarse stencils, and the hierarchy's
+    // non-zeros (and with them setup time and V-cycle memory) grow
+    // with it. Two passes on every level measured 7.1 at 64³.
+    assert!(
+        mg_spec.operator_complexity <= 4.5,
+        "multigrid operator complexity must stay ≤ 4.5 on the {n}³ grid, got {:.2}",
+        mg_spec.operator_complexity
     );
 
     let mut mg_iterations_half = None;
@@ -1134,7 +1184,7 @@ fn emit_json(
             row.push_str(&format!(
                 ", \"levels\": {}, \"smoother\": \"{}\", \"degree\": {}, \
                  \"eig_low\": {:.6e}, \"eig_high\": {:.6e}, \"coarse_unknowns\": {}, \
-                 \"hierarchy_nnz\": {}",
+                 \"hierarchy_nnz\": {}, \"operator_complexity\": {:.3}",
                 s.levels,
                 escape(s.smoother),
                 s.degree,
@@ -1142,6 +1192,7 @@ fn emit_json(
                 s.eig_high,
                 s.coarse_unknowns,
                 s.hierarchy_nnz,
+                s.operator_complexity,
             ));
         }
         row.push_str(&format!(
@@ -1337,6 +1388,9 @@ fn main() {
                      {} coarse unknowns",
                     s.levels, s.smoother, s.degree, s.eig_low, s.eig_high, s.coarse_unknowns
                 );
+                if s.hierarchy_nnz > 0 {
+                    print!(", operator complexity {:.2}", s.operator_complexity);
+                }
             }
             println!();
         }
@@ -1428,7 +1482,9 @@ fn main() {
     // hint, short grids take the serial fast path instead of paying
     // thread spawn + per-worker warm-up, so parallel configurations on
     // real cores must stay within noise of serial (the checked history
-    // shows 0.90× at 2 and 4 threads before the grain hint).
+    // shows 0.90× at 2 and 4 threads before the grain hint). The walls
+    // are medians of interleaved repetitions: a single pair failed
+    // about one smoke run in three at 0.76× on a shared 2-core host.
     {
         let fv = records
             .iter()

@@ -171,6 +171,10 @@ pub struct SpectralStats {
     /// Stored non-zeros across all coarse-level operators and transfer
     /// operators (0 for Chebyshev).
     pub hierarchy_nnz: usize,
+    /// Multigrid operator complexity: [`hierarchy_nnz`](Self::hierarchy_nnz)
+    /// over the fine operator's stored non-zeros (0 for Chebyshev).
+    /// Setup time and V-cycle memory both scale with it.
+    pub operator_complexity: f64,
     /// Whether the workspace's cached setup (bounds or hierarchy) was
     /// reused — no power iterations or Galerkin products ran.
     pub reused: bool,
