@@ -1268,6 +1268,59 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_restore_is_bit_exact_through_multigrid_refreshes() {
+        // A 16×10×4 plate coarsens once (640 → 80 unknowns), so every
+        // dt change and relinearisation after the checkpoint refreshes
+        // a hierarchy with a transfer level in place, while the
+        // restored driver builds its hierarchy cold: both must land on
+        // the same bits.
+        let model = || {
+            let grid = FvGrid::new((0.16, 0.10, 0.012), (16, 10, 4)).unwrap();
+            let mut model = FvModel::new(grid, &Material::aluminum_6061());
+            model
+                .add_power_box(Power::new(25.0), (4, 2, 0), (12, 8, 2))
+                .unwrap();
+            model
+        };
+        let orbit = crate::Orbit::leo_90min();
+        let profile = MissionProfile::orbit_cycle(&orbit, 1).unwrap();
+        let config = MissionConfig::new(Scheme::Trapezoidal)
+            .control(StepControl::Adaptive(AdaptiveConfig {
+                dt_max: 60.0,
+                ..AdaptiveConfig::default()
+            }))
+            .radiating_face(RadiatingFace {
+                face: Face::ZMax,
+                emissivity: 0.85,
+                absorptivity: 0.3,
+            });
+        let reg = std::sync::Arc::new(aeropack_obs::Registry::new());
+        let _obs = aeropack_obs::scoped(reg.clone());
+
+        let mut first =
+            MissionDriver::new(model(), profile.clone(), config.clone(), Celsius::new(20.0))
+                .unwrap();
+        while first.time() < 0.5 * orbit.period_s {
+            first.step().unwrap();
+        }
+        let checkpoint = first.checkpoint();
+        let refreshes = reg.counter("solver.mg.refreshes");
+        first.run_to_end().unwrap();
+        assert!(
+            reg.counter("solver.mg.refreshes") > refreshes,
+            "the continuation must refresh the hierarchy"
+        );
+
+        let mut resumed = MissionDriver::restore(model(), profile, config, &checkpoint).unwrap();
+        resumed.run_to_end().unwrap();
+        assert!(first.stats().relinearizations > 0);
+        let bits = |d: &MissionDriver| d.temperatures().iter().map(|t| t.to_bits()).collect();
+        let (first_bits, resumed_bits): (Vec<u64>, Vec<u64>) = (bits(&first), bits(&resumed));
+        assert_eq!(first_bits, resumed_bits);
+        assert_eq!(first.checkpoint().hash(), resumed.checkpoint().hash());
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         assert!(MissionConfig::new(Scheme::BackwardEuler)
             .control(StepControl::Fixed { dt: 0.0 })

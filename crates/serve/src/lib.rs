@@ -67,7 +67,7 @@ pub use request::{
 };
 pub use service::{Client, ServeConfig, Service, ServiceStats, ServiceTiming, Ticket};
 pub use shard::{run_worker, shard_batch, sharded_solve_remote, RemoteShard, SHARD_HELLO};
-pub use transport::{serve, Daemon, SocketClient};
+pub use transport::{serve, Daemon, SocketClient, MAX_REQUEST_LINE, MAX_RESPONSE_LINE};
 pub use workload::{
     run_all, BoardAnalysis, FemAnalysis, FemQuery, FvAnalysis, SebAnalysis, SebQuery, Workload,
     Workspace,

@@ -12,8 +12,13 @@
 //! [`Daemon::shutdown`] stops the listener promptly without needing a
 //! self-connection trick; in-flight connections finish their current
 //! request and exit when the peer closes or the service drains.
+//!
+//! Lines are read with a fixed cap ([`MAX_REQUEST_LINE`] on the daemon,
+//! [`MAX_RESPONSE_LINE`] in the client), never with an unbounded
+//! `read_line`: a peer that sends a line past the cap gets a `wire`
+//! error and the daemon closes the connection.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,6 +34,56 @@ use crate::wire::{
 };
 
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// Longest request line the daemon reads, in bytes, newline excluded.
+/// A line that runs past it is answered with a `wire` error and the
+/// connection is closed, so a peer can make the daemon buffer at most
+/// this much of one line.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Longest response line a [`SocketClient`] reads, in bytes, newline
+/// excluded. Wider than [`MAX_REQUEST_LINE`]: a response can outgrow
+/// its request (a power sweep answers one value per requested power).
+pub const MAX_RESPONSE_LINE: usize = 1 << 24;
+
+/// Reads one `\n`-terminated line of at most `cap` bytes into `line`,
+/// without its `\n` or `\r\n`; a last line without a newline is
+/// returned as it is. Returns `false` at the end of the stream.
+///
+/// # Errors
+///
+/// [`Error::Wire`] when the line runs past `cap` bytes (at most
+/// `cap + 1` are consumed) or is not UTF-8; [`Error::Io`] when the read
+/// fails.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    cap: usize,
+) -> Result<bool, Error> {
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let read = reader
+        .by_ref()
+        .take(cap as u64 + 1)
+        .read_until(b'\n', &mut bytes)?;
+    if read == 0 {
+        return Ok(false);
+    }
+    if bytes.last() == Some(&b'\n') {
+        bytes.pop();
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+    } else if read > cap {
+        return Err(Error::Wire {
+            reason: format!("line exceeds the {cap}-byte limit"),
+        });
+    }
+    *line = String::from_utf8(bytes).map_err(|_| Error::Wire {
+        reason: "line is not valid UTF-8".to_string(),
+    })?;
+    Ok(true)
+}
 
 /// A running socket daemon bound to a local address.
 pub struct Daemon {
@@ -67,12 +122,14 @@ fn handle_connection(service: &Service, stream: TcpStream) -> Result<(), Error> 
     // the first line-JSON request.
     let mut writer_stream = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(());
-    }
-    if first.trim_end() == crate::shard::SHARD_HELLO {
-        return crate::shard::run_worker(reader, writer_stream);
+    let mut line = String::new();
+    let mut read = read_line_capped(&mut reader, &mut line, MAX_REQUEST_LINE);
+    match read {
+        Ok(false) => return Ok(()),
+        Ok(true) if line.trim_end() == crate::shard::SHARD_HELLO => {
+            return crate::shard::run_worker(reader, writer_stream);
+        }
+        _ => {}
     }
     // Submit on the read side, resolve on the write side: every
     // pipelined line is queued *before* the first result is awaited,
@@ -110,20 +167,24 @@ fn handle_connection(service: &Service, stream: TcpStream) -> Result<(), Error> 
             Err(e) => (0, crate::service::Ticket::ready(Err(e))),
         })
     };
-    let mut closed = false;
-    if let Some(queued) = submit(&first) {
-        closed = tx.send(queued).is_err();
-    }
-    if !closed {
-        for line in reader.lines() {
-            let line = line?;
-            let Some(queued) = submit(&line) else {
-                continue;
-            };
-            if tx.send(queued).is_err() {
+    loop {
+        match read {
+            Ok(false) => break,
+            Ok(true) => {
+                if let Some(queued) = submit(&line) {
+                    if tx.send(queued).is_err() {
+                        break;
+                    }
+                }
+            }
+            Err(e) => {
+                // An over-long or malformed line: answer it (after every
+                // earlier response), then close the connection.
+                let _ = tx.send((0, crate::service::Ticket::ready(Err(e))));
                 break;
             }
         }
+        read = read_line_capped(&mut reader, &mut line, MAX_REQUEST_LINE);
     }
     drop(tx);
     match writer_thread.join() {
@@ -208,8 +269,7 @@ impl SocketClient {
 
     fn receive(&mut self) -> Result<WireResponse, Error> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+        if !read_line_capped(&mut self.reader, &mut line, MAX_RESPONSE_LINE)? {
             return Err(Error::Io {
                 reason: "connection closed by daemon".to_string(),
             });

@@ -365,6 +365,51 @@ fn socket_daemon_answers_calls_and_pipelined_batches() {
     service.shutdown();
 }
 
+#[test]
+fn over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let service = Arc::new(Service::start(ServeConfig::new().workers(1)));
+    let mut daemon = serve(Arc::clone(&service), "127.0.0.1:0").expect("daemon");
+    let stream = TcpStream::connect(daemon.addr()).expect("connect");
+    // Twice the cap and no newline, written from a helper thread: the
+    // daemon stops reading one byte past the cap, so the tail may
+    // never be consumed and the write may fail once it closes.
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 * aeropack_serve::MAX_REQUEST_LINE]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("an error reply");
+    let response = decode_response_line(reply.trim_end()).expect("a wire response");
+    match response.result {
+        Err(Error::Remote { code, message }) => {
+            assert_eq!(code, "wire");
+            assert!(message.contains("limit"), "message: {message}");
+        }
+        other => panic!("expected the wire code, got {other:?}"),
+    }
+    // The daemon closed the connection after the reply.
+    let mut rest = String::new();
+    assert!(matches!(reader.read_line(&mut rest), Ok(0) | Err(_)));
+    flood.join().expect("flood thread");
+
+    // A new connection is served normally.
+    let mut client = SocketClient::connect(daemon.addr()).expect("reconnect");
+    let answer = client
+        .call(AnalysisRequest::SebOperatingPoint {
+            spec: seb_spec(),
+            power_w: 40.0,
+        })
+        .expect("seb call");
+    assert!(matches!(answer, AnalysisResponse::OperatingPoint { .. }));
+
+    daemon.shutdown();
+    service.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Binary frame codec (the shard-worker protocol).
 // ---------------------------------------------------------------------

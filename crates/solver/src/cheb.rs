@@ -86,6 +86,46 @@ fn rayleigh(diag: &[f64], v: &[f64], w: &[f64]) -> f64 {
     }
 }
 
+/// `iters` power-method iterations on `D⁻¹A` from the fixed start
+/// vector, in the `D`-weighted inner product: returns the last Rayleigh
+/// quotient, the estimate of the top of the spectrum. `v` and `w` are
+/// `n`-long scratch.
+fn power_top<F>(apply: &F, diag: &[f64], iters: usize, v: &mut Vec<f64>, w: &mut Vec<f64>) -> f64
+where
+    F: Fn(&[f64], &mut [f64]),
+{
+    let n = diag.len();
+    seed_into(v);
+    normalize(v);
+    let mut high = 1.0;
+    for _ in 0..iters {
+        apply(v, w);
+        for i in 0..n {
+            w[i] /= diag[i];
+        }
+        high = rayleigh(diag, v, w);
+        std::mem::swap(v, w);
+        normalize(v);
+    }
+    aeropack_obs::counter!("solver.cheb.power_iterations", iters);
+    high
+}
+
+/// Power-method estimate of the top eigenvalue of `D⁻¹A` alone — the
+/// [`EigBounds::high`] of [`estimate_bounds_with`], bit for bit, for
+/// half the operator applications. Multigrid needs nothing else: its
+/// smoothing interval and prolongation damping are fractions of λ_max.
+pub(crate) fn estimate_high_with<F>(apply: &F, diag: &[f64], iters: usize) -> f64
+where
+    F: Fn(&[f64], &mut [f64]),
+{
+    let n = diag.len();
+    if n == 0 {
+        return 1.0;
+    }
+    power_top(apply, diag, iters, &mut vec![0.0; n], &mut vec![0.0; n])
+}
+
 /// Power-method estimate of the extreme eigenvalues of `D⁻¹A`, for any
 /// operator given as an apply closure. Runs `iters` iterations for the
 /// top of the spectrum, then `iters` more on the shifted operator
@@ -104,19 +144,7 @@ where
     }
     let mut v = vec![0.0; n];
     let mut w = vec![0.0; n];
-    seed_into(&mut v);
-    normalize(&mut v);
-    let mut high = 1.0;
-    for _ in 0..iters {
-        apply(&v, &mut w);
-        for i in 0..n {
-            w[i] /= diag[i];
-        }
-        high = rayleigh(diag, &v, &w);
-        std::mem::swap(&mut v, &mut w);
-        normalize(&mut v);
-    }
-    aeropack_obs::counter!("solver.cheb.power_iterations", iters);
+    let high = power_top(apply, diag, iters, &mut v, &mut w);
     // Bottom of the spectrum: power method on `s·I − B` whose top
     // eigenvalue is `s − λ_min`. The shift `s` is the (possibly
     // slightly low) λ_max estimate — eigenvalues marginally above it
@@ -284,6 +312,9 @@ mod tests {
         let e2 = estimate_dinv_spectrum(&a, 20);
         assert_eq!(e1.high.to_bits(), e2.high.to_bits());
         assert_eq!(e1.low.to_bits(), e2.low.to_bits());
+        // The λ_max-only estimate multigrid uses is the same number.
+        let high = estimate_high_with(&|x, y| a.spmv_into(x, y, 1), &a.diag(), 20);
+        assert_eq!(high.to_bits(), e1.high.to_bits());
     }
 
     #[test]

@@ -33,7 +33,26 @@ impl DenseCholesky {
                 n * n
             )));
         }
-        let mut l = vec![0.0; n * n];
+        let mut chol = Self {
+            n,
+            l: vec![0.0; n * n],
+        };
+        chol.refactor(a, context)?;
+        Ok(chol)
+    }
+
+    /// Refactorises in place from a new row-major matrix of the same
+    /// dimension, reusing the factor's storage. Bitwise identical to
+    /// [`DenseCholesky::factor`] on the same matrix. On error the
+    /// factor's content is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not `n × n` for this factor's `n`.
+    pub(crate) fn refactor(&mut self, a: &[f64], context: &'static str) -> Result<(), SolverError> {
+        let n = self.n;
+        assert_eq!(a.len(), n * n, "matrix length mismatch");
+        let l = self.l.as_mut_slice();
         for i in 0..n {
             for j in 0..=i {
                 let mut sum = a[i * n + j];
@@ -51,7 +70,7 @@ impl DenseCholesky {
             }
         }
         aeropack_obs::counter!("solver.cholesky.factorizations");
-        Ok(Self { n, l })
+        Ok(())
     }
 
     /// Problem dimension.

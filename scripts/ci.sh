@@ -30,7 +30,9 @@ echo "==> sweep bench smoke (tiny grids, 2 threads, determinism + preconditioner
 # the NSGA-II smoke search is not bit-identical at 1/2/8 threads.
 # The smoke fv_large comparison also runs the 20³ multigrid and
 # Chebyshev solves, so the emitted report can be gated on the solver.mg.
-# and solver.cheb. counters below; the optimizer smoke emits the
+# and solver.cheb. counters below; the bench_mission smoke row re-solves
+# a two-level hierarchy after values-only changes, which the
+# solver.mg.refreshes gate checks; the optimizer smoke emits the
 # optimize.* counters gated alongside them.
 # Absolute path: `cargo bench` runs the harness from the package dir,
 # not the workspace root, so a relative report path would miss target/.
@@ -40,8 +42,8 @@ AEROPACK_OBS=1 AEROPACK_OBS_REPORT="$SWEEPS_OBS_REPORT" \
 
 echo "==> preconditioner + optimizer obs gate (solver.ic0./mg./cheb./optimize. counters must be non-zero)"
 cargo run -q --release --offline -p aeropack-obs --bin obs_check -- \
-    "$SWEEPS_OBS_REPORT" solver.ic0. solver.mg. solver.cheb. solver.pcg. solver.dd. \
-    sweep. mission. solver.transient. optimize.
+    "$SWEEPS_OBS_REPORT" solver.ic0. solver.mg. solver.mg.refreshes solver.cheb. solver.pcg. \
+    solver.dd. sweep. mission. solver.transient. optimize.
 
 echo "==> obs smoke (exp02 with observability on, run report must validate)"
 # Run a real experiment with events flowing, then gate on the emitted
